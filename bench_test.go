@@ -3,7 +3,7 @@ package repro
 // One benchmark per paper table and figure: each regenerates the
 // corresponding measurement at a reduced-but-meaningful scale, so
 // `go test -bench=. -benchmem` sweeps the entire evaluation. Shapes (who
-// wins, by what factor) are the reproduction target; see EXPERIMENTS.md.
+// wins, by what factor) are the reproduction target.
 
 import (
 	"context"

@@ -1,9 +1,18 @@
 package repro
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -95,6 +104,95 @@ func TestTraceFileRoundTripAPI(t *testing.T) {
 	}
 	if _, err := RunTraceFile(HelperConfig(), Policy888(), filepath.Join(dir, "absent"), 10); err == nil {
 		t.Error("missing file must error")
+	}
+}
+
+// TestTraceFileReplayMemory guards the streaming replay: a RunTraceFile
+// run allocates a few blocks of buffers, not the decoded trace, so a
+// 100k-uop trace costs what a 10k-uop one does.
+func TestTraceFileReplayMemory(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := WorkloadByName("gzip")
+	r := NewRunner()
+	alloc := func(uops int) uint64 {
+		path := filepath.Join(dir, fmt.Sprintf("%d.trace", uops))
+		if err := WriteTraceFile(path, w, uops); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := r.RunTraceFile(context.Background(), HelperConfig(), Policy888(), path, 20_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fills the simulator pool
+		// Best of three: a GC that empties the pool mid-measurement would
+		// charge a whole simulator to the run.
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, large := alloc(10_000), alloc(100_000)
+	t.Logf("TotalAlloc per run: 10k-uop trace %d B, 100k-uop trace %d B", small, large)
+	if large >= 1<<20 {
+		t.Errorf("100k-uop trace replay allocated %d B, want < 1 MB", large)
+	}
+	if d := max(small, large) - min(small, large); d > 64<<10 {
+		t.Errorf("allocation grows with trace length: %d B apart", d)
+	}
+}
+
+// failingReadSeeker fails every read once more than budget bytes have
+// been read through it.
+type failingReadSeeker struct {
+	*bytes.Reader
+	budget int
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+func (f *failingReadSeeker) Read(p []byte) (int, error) {
+	if len(p) > f.budget {
+		return 0, errInjectedRead
+	}
+	n, err := f.Reader.Read(p)
+	f.budget -= n
+	return n, err
+}
+
+func TestRunTraceFileReadError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gzip.trace")
+	w, _ := WorkloadByName("gzip")
+	if err := WriteTraceFile(path, w, 3000); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half the file reads: the failure lands mid-way through the first lap.
+	src, err := trace.NewFileSource(&failingReadSeeker{Reader: bytes.NewReader(data), budget: len(data) / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := replayTrace(context.Background(), HelperConfig(), Policy888(), path, src, 20_000)
+	if !errors.Is(err, errInjectedRead) || !strings.Contains(err.Error(), path) {
+		t.Errorf("err = %v, want the injected failure naming %s", err, path)
+	}
+	if !reflect.DeepEqual(res, Result{}) {
+		t.Errorf("a failed replay returned a partial result: %+v", res.Metrics)
+	}
+
+	// The caller's cancellation is still reported as such.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NewRunner().RunTraceFile(ctx, HelperConfig(), Policy888(), path, 1<<40); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled replay: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -20,13 +20,13 @@ func TestPeerAuthVerify(t *testing.T) {
 	sig := signPeerAuth(secret, http.MethodPost, pathPeerAnnounce, body, now)
 
 	cases := []struct {
-		name               string
-		secret, hdr        string
-		method, path       string
-		body               []byte
-		at                 time.Time
-		wantErr            error
-		wantOK             bool
+		name         string
+		secret, hdr  string
+		method, path string
+		body         []byte
+		at           time.Time
+		wantErr      error
+		wantOK       bool
 	}{
 		{"roundtrip", secret, sig, http.MethodPost, pathPeerAnnounce, body, now, nil, true},
 		{"skewed within window", secret, sig, http.MethodPost, pathPeerAnnounce, body, now.Add(peerAuthSkew / 2), nil, true},

@@ -224,15 +224,15 @@ type releaseResponse struct {
 // /v1/peer/status and consumed by peers deciding where to steal from
 // (and by `helperd federate` for operators).
 type PeerStatus struct {
-	Self         string   `json:"self,omitempty"`
-	QueueDepth   int      `json:"queue_depth"`
-	Stealable    int      `json:"stealable"`
-	Leased       int      `json:"leased"`
-	Workers      int      `json:"workers"`
-	FreeCapacity int      `json:"free_capacity"`
-	StoreEntries int      `json:"store_entries"`
-	StealsOut    uint64   `json:"steals_out"`
-	StealsIn     uint64   `json:"steals_in"`
+	Self         string `json:"self,omitempty"`
+	QueueDepth   int    `json:"queue_depth"`
+	Stealable    int    `json:"stealable"`
+	Leased       int    `json:"leased"`
+	Workers      int    `json:"workers"`
+	FreeCapacity int    `json:"free_capacity"`
+	StoreEntries int    `json:"store_entries"`
+	StealsOut    uint64 `json:"steals_out"`
+	StealsIn     uint64 `json:"steals_in"`
 	// WorstEtaMS is the largest projected time-to-finish, in
 	// milliseconds, over this server's connected batches that still have
 	// queued work — the published BatchETA of the batch that will finish

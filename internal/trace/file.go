@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -17,6 +19,7 @@ import (
 const (
 	magic      = 0x48435431 // "HCT1"
 	version    = 1
+	headerSize = 8
 	recordSize = 52
 )
 
@@ -110,7 +113,7 @@ func unpackRecord(buf *[recordSize]byte, u *isa.Uop) {
 // Write streams n uops from src to w in the binary trace format.
 func Write(w io.Writer, src Source, n int) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [8]byte
+	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
 	if _, err := bw.Write(hdr[:]); err != nil {
@@ -128,30 +131,230 @@ func Write(w io.Writer, src Source, n int) error {
 	return bw.Flush()
 }
 
-// Read loads an entire binary trace from r.
-func Read(r io.Reader) ([]isa.Uop, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+// blockRecords is the number of records one read decodes: enough to
+// amortize the read call, few enough that a replay's buffers stay at
+// about a hundred kilobytes whatever the trace length.
+const blockRecords = 1024
+
+// decodeBlock unpacks the records in raw into dst, one per element.
+func decodeBlock(dst []isa.Uop, raw []byte) {
+	for i := range dst {
+		unpackRecord((*[recordSize]byte)(raw[i*recordSize:]), &dst[i])
+	}
+}
+
+// readHeader reads and checks the 8-byte trace header.
+func readHeader(r io.Reader) error {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("trace: reading header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if binary.LittleEndian.Uint32(hdr[4:]) != version {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
-	var out []isa.Uop
-	var buf [recordSize]byte
+	return nil
+}
+
+// recordErr reports a failed read of record i.
+func recordErr(i int, err error) error {
+	return fmt.Errorf("trace: reading record %d: %w", i, err)
+}
+
+// Read loads an entire binary trace from r. When r reports how many bytes
+// it holds (a *bytes.Reader, or a regular *os.File) the result is
+// allocated once at its final size.
+func Read(r io.Reader) ([]isa.Uop, error) {
+	if err := readHeader(r); err != nil {
+		return nil, err
+	}
+	out := make([]isa.Uop, 0, recordsLeft(r))
+	raw := make([]byte, blockRecords*recordSize)
 	for {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("trace: reading record %d: %w", len(out), err)
+		k, err := io.ReadFull(r, raw)
+		whole := k / recordSize
+		n := len(out)
+		out = slices.Grow(out, whole)[:n+whole]
+		decodeBlock(out[n:], raw[:whole*recordSize])
+		switch {
+		case err == nil:
+		case err == io.EOF, err == io.ErrUnexpectedEOF && k%recordSize == 0:
+			return out, nil
+		default:
+			return nil, recordErr(len(out), err)
 		}
-		var u isa.Uop
-		unpackRecord(&buf, &u)
-		out = append(out, u)
 	}
+}
+
+// recordsLeft returns the number of whole records left in r when r
+// reports its length, else 0.
+func recordsLeft(r io.Reader) int {
+	var left int64
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		left = int64(v.Len())
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0
+		}
+		off, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0
+		}
+		left = fi.Size() - off
+	}
+	return int(max(left, 0) / recordSize)
+}
+
+// ErrFileChanged reports a trace file whose size changed while a
+// FileSource was replaying it.
+var ErrFileChanged = errors.New("trace: file changed during replay")
+
+// FileSource replays a binary trace file cyclically, uop for uop and Seq
+// for Seq what NewSliceSource over Read's result replays, but it holds one
+// block of decoded records instead of the whole trace, so its memory does
+// not grow with the trace length. Every lap re-reads the file from its
+// first record, and every rewind re-checks the file's size.
+//
+// A read error, or a size change at a rewind, is sticky: Err reports it,
+// OnError is called with it once, and from then on Next keeps cycling the
+// last block it decoded, so the consumer can wind down before it checks
+// Err. Such uops are not the trace's, and a run that drew them is void.
+type FileSource struct {
+	// OnError, if non-nil, is called once, from Next, with the first
+	// error. A replay uses it to cancel the run that consumes the source.
+	OnError func(error)
+
+	r      io.ReadSeeker
+	closer io.Closer // the file OpenFile opened; nil for NewFileSource
+	size   int64     // size of the file at open, in bytes
+	n      int       // records in one lap
+	left   int       // records of the current lap not read yet
+	raw    []byte
+	buf    []isa.Uop // the decoded block Next is replaying
+	idx    int       // next uop of buf
+	seq    uint64
+	err    error
+}
+
+// OpenFile opens a trace file for streaming replay. It fails with the
+// errors Read would give for the same file. Close releases the file.
+func OpenFile(path string) (*FileSource, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewFileSource(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	s.closer = f
+	return s, nil
+}
+
+// NewFileSource starts a streaming replay of the trace in rs, which must
+// be positioned at its header. It checks the header and that the body is
+// a whole number of records, failing with the errors Read would give, and
+// decodes the first block. A trace with no records is valid (Len is 0),
+// but Next must not be called on it.
+func NewFileSource(rs io.ReadSeeker) (*FileSource, error) {
+	if err := readHeader(rs); err != nil {
+		return nil, err
+	}
+	size, err := rs.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("trace: sizing: %w", err)
+	}
+	body := size - headerSize
+	if body%recordSize != 0 {
+		return nil, recordErr(int(body/recordSize), io.ErrUnexpectedEOF)
+	}
+	s := &FileSource{
+		r:    rs,
+		size: size,
+		n:    int(body / recordSize),
+		raw:  make([]byte, blockRecords*recordSize),
+		buf:  make([]isa.Uop, 0, blockRecords),
+	}
+	if s.n == 0 {
+		return s, nil
+	}
+	if err := s.fill(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Len returns the number of records in one lap of the trace.
+func (s *FileSource) Len() int { return s.n }
+
+// Err returns the error that stopped the replay, or nil.
+func (s *FileSource) Err() error { return s.err }
+
+// Close closes the file OpenFile opened; it is a no-op for a source
+// built by NewFileSource.
+func (s *FileSource) Close() error {
+	if s.closer == nil {
+		return nil
+	}
+	return s.closer.Close()
+}
+
+// Next implements Source by cyclic replay.
+func (s *FileSource) Next(u *isa.Uop) {
+	if s.idx == len(s.buf) {
+		if s.err == nil {
+			if err := s.fill(); err != nil {
+				s.err = err
+				if s.OnError != nil {
+					s.OnError(err)
+				}
+			}
+		}
+		s.idx = 0
+	}
+	*u = s.buf[s.idx]
+	u.Seq = s.seq
+	s.seq++
+	s.idx++
+}
+
+// fill decodes the next block of the lap into buf, rewinding to the first
+// record when the lap is done. On error buf keeps the previous block.
+func (s *FileSource) fill() error {
+	if s.left == 0 {
+		if err := s.rewind(); err != nil {
+			return err
+		}
+	}
+	k := min(s.left, blockRecords)
+	raw := s.raw[:k*recordSize]
+	if _, err := io.ReadFull(s.r, raw); err != nil {
+		return recordErr(s.n-s.left, err)
+	}
+	s.buf = s.buf[:k]
+	decodeBlock(s.buf, raw)
+	s.left -= k
+	return nil
+}
+
+// rewind seeks back to the first record, after checking that the file
+// still has the size it had at open.
+func (s *FileSource) rewind() error {
+	size, err := s.r.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("trace: rewinding: %w", err)
+	}
+	if size != s.size {
+		return fmt.Errorf("%w: %d bytes at open, %d now", ErrFileChanged, s.size, size)
+	}
+	if _, err := s.r.Seek(headerSize, io.SeekStart); err != nil {
+		return fmt.Errorf("trace: rewinding: %w", err)
+	}
+	s.left = s.n
+	return nil
 }

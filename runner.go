@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/core"
@@ -401,24 +400,38 @@ func (r *Runner) dedupe(jobs []Job) ([]Job, [][]int) {
 }
 
 // RunTraceFile simulates a recorded binary trace file (replayed cyclically
-// until n uops commit) under the runner's cancellation rules.
+// until n uops commit) under the runner's cancellation rules. The file is
+// streamed a block of records at a time and re-read on every lap, so
+// memory stays O(block) whatever the trace length. A read error, or a file
+// whose size changes mid-run, fails the run with an error naming the file
+// and a zero Result; cancelling ctx returns the partial Result with
+// ctx.Err(), as Run does.
 func (r *Runner) RunTraceFile(ctx context.Context, cfg Config, pol Policy, path string, n uint64) (Result, error) {
-	f, err := os.Open(path)
+	src, err := trace.OpenFile(path)
 	if err != nil {
 		return Result{}, err
 	}
-	defer f.Close()
-	uops, err := trace.Read(f)
-	if err != nil {
-		return Result{}, err
+	defer src.Close()
+	return replayTrace(ctx, cfg, pol, path, src, n)
+}
+
+// replayTrace simulates n uops of src, the trace named name, cancelling
+// the run at src's first read error.
+func replayTrace(ctx context.Context, cfg Config, pol Policy, name string, src *trace.FileSource, n uint64) (Result, error) {
+	if src.Len() == 0 {
+		return Result{}, fmt.Errorf("repro: empty trace %s", name)
 	}
-	if len(uops) == 0 {
-		return Result{}, fmt.Errorf("repro: empty trace %s", path)
-	}
-	sim, err := core.Acquire(cfg, pol, trace.NewSliceSource(uops))
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	src.OnError = cancel
+	sim, err := core.Acquire(cfg, pol, src)
 	if err != nil {
 		return Result{}, err
 	}
 	defer core.Release(sim)
-	return sim.RunCtx(ctx, n)
+	res, err := sim.RunCtx(runCtx, n)
+	if rerr := src.Err(); rerr != nil {
+		return Result{}, fmt.Errorf("repro: trace %s: %w", name, rerr)
+	}
+	return res, err
 }
