@@ -88,14 +88,15 @@ bench-json:
 # $(BENCH_MAX_ALLOC_REGRESS_PCT)% over the committed baseline on any
 # benchmark, and the hot-loop ablation benchmarks additionally carry the
 # explicit $(BENCH_ALLOC_BUDGETS) ceilings — the zero-steady-state-alloc
-# core keeps them at a few hundred allocs per op (per-job construction:
-# the workload stream and the policy clone), so a return of per-tick
-# garbage (tens of thousands per op) fails even if BENCH_core.json were
-# refreshed past it.
+# core and the pooled job set-up (streams and Sims reset in place) keep
+# them at about ten allocs per op (the Result and the policy state), so
+# a return of per-uop set-up or per-tick garbage (hundreds to tens of
+# thousands per op) fails even if BENCH_core.json were refreshed past
+# it.
 BENCH_MAX_REGRESS_PCT ?= 10
 BENCH_OVERHEAD_BUDGET_PCT ?= 5
 BENCH_MAX_ALLOC_REGRESS_PCT ?= 10
-BENCH_ALLOC_BUDGETS ?= BenchmarkAblationClockRatio=2500,BenchmarkAblationConfidence=2500,BenchmarkAblationHelperWidth=2500,BenchmarkAblationSplitMode=2500
+BENCH_ALLOC_BUDGETS ?= BenchmarkAblationClockRatio=100,BenchmarkAblationConfidence=100,BenchmarkAblationHelperWidth=100,BenchmarkAblationSplitMode=100
 .PHONY: bench-check
 bench-check:
 	GO="$(GO)" BENCH_MAX_REGRESS_PCT=$(BENCH_MAX_REGRESS_PCT) \
@@ -115,9 +116,12 @@ bench-profile:
 	@rm -f bench-profile.test
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: $(GO) tool pprof -top cpu.pprof"
 
-# The zero-alloc steady-state gate on its own (it also runs in `make
-# test`): once warm, the measured phase of the simulator core must not
-# allocate at all.
+# The allocation gates on their own (they also run in `make test`): once
+# warm, the measured phase of the simulator core must not allocate at
+# all, and a whole warm job (Runner.Run on a synthetic stream,
+# Runner.RunTraceFile on a trace file) allocates at most a fixed
+# handful of objects for its set-up.
 .PHONY: alloc-gate
 alloc-gate:
 	$(GO) test -run TestSteadyStateZeroAllocs -count=1 ./internal/core
+	$(GO) test -run TestWarmJobAllocs -count=1 .

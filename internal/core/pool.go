@@ -31,15 +31,18 @@ func Acquire(cfg config.Processor, pol steer.Policy, src trace.Source) (*Sim, er
 	return New(cfg, pol, src)
 }
 
-// Release returns s to the pool for reuse by a later Acquire. The caller
-// must not touch s afterwards. Releasing is optional (a dropped Sim is
-// just garbage) and nil is a no-op.
+// Release returns s to the pool for reuse by a later Acquire, after
+// dropping its uop source. The caller must not touch s afterwards.
+// Releasing is optional (a dropped Sim is just garbage) and nil is a
+// no-op.
 func Release(s *Sim) {
 	if s == nil {
 		return
 	}
-	// Drop the progress callback so a pooled idle Sim does not pin the
-	// caller's closure (and whatever it captured).
+	// Drop the progress callback and the uop source so a pooled idle Sim
+	// pins neither the caller's closure (and whatever it captured) nor a
+	// stream or trace source that its owner recycles after this.
 	s.SetProgress(0, nil)
+	s.window.Reset(nil)
 	simPool.Put(s)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -163,4 +165,41 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state measured phase allocated %.1f times per 5k-uop run, want 0", allocs)
 	}
+}
+
+// TestReleaseDropsSource checks that a released Sim no longer holds its
+// uop source, which its owner may recycle (a pooled stream) or close (a
+// trace file) right after Release, and that the next Acquire with a new
+// source runs identically to New.
+func TestReleaseDropsSource(t *testing.T) {
+	uops := reuseSource(t)
+	src := trace.NewSliceSource(uops)
+	ref := weak.Make(src)
+	sim, err := Acquire(config.WithHelper(), steer.FIR(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(5000)
+	Release(sim)
+	src = nil
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a released Sim still references its uop source")
+	}
+
+	fresh, err := New(config.WithHelper(), steer.FIR(), trace.NewSliceSource(uops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Run(10000)
+	pooled, err := Acquire(config.WithHelper(), steer.FIR(), trace.NewSliceSource(uops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pooled.Run(10000)
+	Release(pooled)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a Sim acquired after Release differs from a fresh one")
+	}
+	runtime.KeepAlive(sim)
 }

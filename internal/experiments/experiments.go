@@ -17,6 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/steer"
+	"repro/internal/synth"
 	"repro/internal/workload"
 )
 
@@ -46,16 +47,21 @@ func Quick() Options {
 	return Options{SpecUops: 20_000, SuiteUops: 5_000, Warmup: 5_000}
 }
 
-// runOne simulates one workload under one policy with warmup. Sims come
-// from the core pool: the full-suite sweeps (Figure 14 runs 824
-// simulations) recycle one Sim per worker instead of constructing a
-// megabyte of simulator state per run.
+// runOne simulates one workload under one policy with warmup. Streams
+// and Sims come from their pools: the full-suite sweeps (Figure 14 runs
+// 824 simulations) recycle one of each per worker instead of building a
+// synthetic program and a megabyte of simulator state per run.
 func runOne(ctx context.Context, p workload.Profile, pol steer.Policy, n, warm uint64) (core.Result, error) {
 	cfg := config.PentiumLikeBaseline()
 	if pol.NeedsHelper() {
 		cfg = config.WithHelper()
 	}
-	sim, err := core.Acquire(cfg, pol, p.MustStream())
+	src, err := synth.Acquire(p.Params)
+	if err != nil {
+		return core.Result{}, err
+	}
+	defer synth.Release(src)
+	sim, err := core.Acquire(cfg, pol, src)
 	if err != nil {
 		return core.Result{}, err
 	}

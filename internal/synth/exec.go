@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -17,32 +18,45 @@ const maxLoopIters = 1 << 20
 // timing simulator and the trace analyses.
 type Stream struct {
 	params Params
-	prog   *program
+	prog   program
+	gen    builder // program generation state, kept for its storage
 	rng    *rand.Rand
-	mem    *memory
+	mem    memory
 
 	regs [isa.NumRegs]uint32
 	fp   [8]uint32
 
-	idx        int
-	seq        uint64
-	takenRun   []uint32 // consecutive taken count per static backward branch
-	staticUops int
+	idx      int
+	seq      uint64
+	takenRun []uint32 // consecutive taken count per static backward branch
 }
 
 // NewStream validates p, generates the program and prepares the executor.
+// It is Reset on a zero Stream.
 func NewStream(p Params) (*Stream, error) {
-	if err := p.Validate(); err != nil {
+	s := &Stream{}
+	if err := s.Reset(p); err != nil {
 		return nil, err
 	}
-	prog := buildProgram(p)
-	s := &Stream{
-		params:   p,
-		prog:     prog,
-		rng:      rand.New(rand.NewSource(p.Seed)),
-		takenRun: make([]uint32, len(prog.uops)),
+	return s, nil
+}
+
+// Reset regenerates s in place as the stream of p: the program, the
+// executor's registers and branch state, the memory overlay and both
+// random sources start over exactly as NewStream(p) would start them,
+// so a reset stream is uop for uop the fresh one. The storage of the
+// previous program is reused. An invalid p returns its validation error
+// and leaves s unchanged.
+func (s *Stream) Reset(p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	s.mem = newMemory(prog, uint32(p.Seed)|1)
+	s.params = p
+	s.gen.build(&s.prog, p)
+	s.rng = reseed(s.rng, p.Seed)
+	s.mem.reset(&s.prog, uint32(p.Seed)|1)
+
+	s.regs = [isa.NumRegs]uint32{}
 	for i := 0; i < numRegions; i++ {
 		s.regs[regBase0+i] = s.mem.bases[i]
 	}
@@ -55,8 +69,11 @@ func NewStream(p Params) (*Stream, error) {
 	for i := range s.fp {
 		s.fp[i] = 0x3F800000 + uint32(i)
 	}
-	s.staticUops = len(prog.uops)
-	return s, nil
+	s.idx, s.seq = 0, 0
+	n := len(s.prog.uops)
+	s.takenRun = slices.Grow(s.takenRun[:0], n)[:n]
+	clear(s.takenRun)
+	return nil
 }
 
 // MustNewStream is NewStream for known-good parameters (tests, examples).
@@ -70,7 +87,7 @@ func MustNewStream(p Params) *Stream {
 
 // StaticUops returns the static program size in uops — the code footprint
 // seen by the trace cache and the width predictor (aliasing pressure).
-func (s *Stream) StaticUops() int { return s.staticUops }
+func (s *Stream) StaticUops() int { return len(s.prog.uops) }
 
 // Params returns the generation parameters.
 func (s *Stream) Params() Params { return s.params }

@@ -34,16 +34,18 @@ type memory struct {
 	narrowMill uint32             // NarrowDataFrac scaled to parts-per-1024
 }
 
-func newMemory(prog *program, lowByteSeed uint32) *memory {
-	m := &memory{
-		overlay:    make(map[uint32]uint32),
-		narrowMill: uint32(prog.params.NarrowDataFrac * 1024),
+// reset prepares m for a fresh run of prog, reusing the overlay map.
+func (m *memory) reset(prog *program, lowByteSeed uint32) {
+	if m.overlay == nil {
+		m.overlay = make(map[uint32]uint32)
+	} else {
+		clear(m.overlay)
 	}
+	m.narrowMill = uint32(prog.params.NarrowDataFrac * 1024)
 	for i := range m.bases {
 		m.bases[i] = regionBases[i] | (hash32(lowByteSeed+uint32(i)) & 0xFF)
 		m.mask[i] = (1 << prog.regionShift[i]) - 1
 	}
-	return m
 }
 
 func sizeMask(size uint8) uint32 {

@@ -105,12 +105,22 @@ type program struct {
 // pcOf returns the PC of static index i.
 func pcOf(i int) uint32 { return codeBase + uint32(i)*4 }
 
-// buildProgram generates the static program for p using its own
-// deterministic generation stream (separate from the execution stream so
-// program shape does not perturb value draws).
-func buildProgram(p Params) *program {
-	rng := rand.New(rand.NewSource(p.Seed ^ 0x5E3779B97F4A7C15))
-	prog := &program{params: p}
+// build regenerates prog for p in place, reusing prog's uop storage and
+// b's scratch. Generation draws from its own deterministic stream
+// (separate from the execution stream so program shape does not perturb
+// value draws), reseeded here, so the program depends on p alone.
+func (b *builder) build(prog *program, p Params) {
+	*b = builder{
+		p:            p,
+		rng:          reseed(b.rng, p.Seed^0x5E3779B97F4A7C15),
+		prog:         prog,
+		recentNarrow: b.recentNarrow[:0],
+		recentWide:   b.recentWide[:0],
+		curCtr:       isa.RegNone,
+		plan:         b.plan[:0],
+	}
+	prog.params = p
+	prog.uops = prog.uops[:0]
 
 	// Split the working set across regions; the byte-array region gets a
 	// quarter, rounded to powers of two (cheap masking, realistic enough).
@@ -123,9 +133,8 @@ func buildProgram(p Params) *program {
 		prog.regionShift[i] = shift
 	}
 
-	b := &builder{p: p, rng: rng, prog: prog, curCtr: isa.RegNone}
 	for s := 0; s < p.Segments; s++ {
-		r := rng.Float64()
+		r := b.rng.Float64()
 		switch {
 		case r < p.LoopFrac:
 			b.emitLoop(s)
@@ -145,7 +154,16 @@ func buildProgram(p Params) *program {
 	for i := range prog.uops {
 		prog.uops[i].pc = pcOf(i)
 	}
-	return prog
+}
+
+// reseed returns r reseeded with seed, or a new generator for seed when
+// r is nil. Either way its draws are those of rand.New(rand.NewSource(seed)).
+func reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
 }
 
 // builder carries generation state.
@@ -168,6 +186,8 @@ type builder struct {
 	// blockImplicitWide marks the current block's ALU uops as carrying
 	// implicit wide context operands.
 	blockImplicitWide bool
+	// plan is emitBlock's scratch: the kinds of the block's uops.
+	plan []emitKind
 }
 
 func (b *builder) append(u staticUop) int {
@@ -190,6 +210,10 @@ func pool(narrow bool) []uint8 {
 	}
 	return widePool
 }
+
+// maxRecent is how many recently written registers each width class
+// remembers.
+const maxRecent = 6
 
 func (b *builder) recent(narrow bool) *[]uint8 {
 	if narrow {
@@ -220,10 +244,13 @@ func (b *builder) freshDataReg(narrow bool) uint8 {
 	pl := pool(narrow)
 	r := pl[b.rng.Intn(len(pl))]
 	rec := b.recent(narrow)
-	*rec = append(*rec, r)
-	if len(*rec) > 6 {
-		*rec = (*rec)[1:]
+	if len(*rec) == maxRecent {
+		// Slide the window down in place: the storage is reused by every
+		// build of a pooled stream.
+		copy(*rec, (*rec)[1:])
+		*rec = (*rec)[:maxRecent-1]
 	}
+	*rec = append(*rec, r)
 	return r
 }
 
@@ -281,26 +308,51 @@ func (b *builder) emitBlock(n int) {
 		}
 		return c
 	}
-	type emitter func()
-	var plan []emitter
-	addN := func(k int, f emitter) {
+	plan := b.plan[:0]
+	addN := func(k int, kind emitKind) {
 		for i := 0; i < k && len(plan) < n; i++ {
-			plan = append(plan, f)
+			plan = append(plan, kind)
 		}
 	}
-	addN(count(p.FracLoad), b.emitLoad)
-	addN(count(p.FracStore), b.emitStore)
-	addN(count(p.FracMul), func() { b.emitMulDiv(isa.ClassMul) })
-	addN(count(p.FracDiv), func() { b.emitMulDiv(isa.ClassDiv) })
-	addN(count(p.FracFP), b.emitFP)
+	addN(count(p.FracLoad), kindLoad)
+	addN(count(p.FracStore), kindStore)
+	addN(count(p.FracMul), kindMul)
+	addN(count(p.FracDiv), kindDiv)
+	addN(count(p.FracFP), kindFP)
 	for len(plan) < n {
-		plan = append(plan, b.emitALU)
+		plan = append(plan, kindALU)
 	}
 	b.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
-	for _, emit := range plan {
-		emit()
+	b.plan = plan
+	for _, kind := range plan {
+		switch kind {
+		case kindLoad:
+			b.emitLoad()
+		case kindStore:
+			b.emitStore()
+		case kindMul:
+			b.emitMulDiv(isa.ClassMul)
+		case kindDiv:
+			b.emitMulDiv(isa.ClassDiv)
+		case kindFP:
+			b.emitFP()
+		default:
+			b.emitALU()
+		}
 	}
 }
+
+// emitKind names the emitter of one planned uop of a block.
+type emitKind uint8
+
+const (
+	kindLoad emitKind = iota
+	kindStore
+	kindMul
+	kindDiv
+	kindFP
+	kindALU
+)
 
 func (b *builder) emitLoad() {
 	region := b.pickRegion()

@@ -118,8 +118,16 @@ func TestStreamSemanticConsistency(t *testing.T) {
 	}
 }
 
+// testMemory returns the memory of a default-profile stream with its
+// region bases drawn from lowByteSeed.
+func testMemory(lowByteSeed uint32) *memory {
+	s := MustNewStream(DefaultParams())
+	s.mem.reset(&s.prog, lowByteSeed)
+	return &s.mem
+}
+
 func TestStoreLoadOverlay(t *testing.T) {
-	m := newMemory(buildProgram(DefaultParams()), 7)
+	m := testMemory(7)
 	addr := uint32(0x10000040)
 	m.store(addr, 0xDEADBEEF, 4)
 	if got := m.load(addr, 1, 4); got != 0xDEADBEEF {
@@ -132,7 +140,7 @@ func TestStoreLoadOverlay(t *testing.T) {
 }
 
 func TestMemoryRegionPersonalities(t *testing.T) {
-	m := newMemory(buildProgram(DefaultParams()), 3)
+	m := testMemory(3)
 	narrow0, wide2 := 0, 0
 	for i := uint32(0); i < 1000; i++ {
 		if bitwidth.IsNarrow(m.load(m.bases[0]+i, 0, 1)) {
@@ -151,7 +159,7 @@ func TestMemoryRegionPersonalities(t *testing.T) {
 }
 
 func TestOverlayGenerationalClear(t *testing.T) {
-	m := newMemory(buildProgram(DefaultParams()), 3)
+	m := testMemory(3)
 	for i := uint32(0); i < overlayCap+10; i++ {
 		m.store(0x10000000+i*4, i, 4)
 	}

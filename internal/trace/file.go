@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -171,7 +172,9 @@ func Read(r io.Reader) ([]isa.Uop, error) {
 		return nil, err
 	}
 	out := make([]isa.Uop, 0, recordsLeft(r))
-	raw := make([]byte, blockRecords*recordSize)
+	bufs := blockPool.Get().(*blockBufs)
+	defer blockPool.Put(bufs)
+	raw := bufs.raw
 	for {
 		k, err := io.ReadFull(r, raw)
 		whole := k / recordSize
@@ -233,15 +236,32 @@ type FileSource struct {
 	size   int64     // size of the file at open, in bytes
 	n      int       // records in one lap
 	left   int       // records of the current lap not read yet
-	raw    []byte
+	bufs   *blockBufs
 	buf    []isa.Uop // the decoded block Next is replaying
 	idx    int       // next uop of buf
 	seq    uint64
 	err    error
 }
 
+// blockBufs is the storage for reading one block of records: its raw
+// bytes and its decoded uops. A FileSource holds one from open to Close
+// and Read borrows one while it runs; blockPool recycles them, so a warm
+// replay allocates no per-block storage.
+type blockBufs struct {
+	raw []byte
+	buf []isa.Uop
+}
+
+var blockPool = sync.Pool{New: func() any {
+	return &blockBufs{
+		raw: make([]byte, blockRecords*recordSize),
+		buf: make([]isa.Uop, blockRecords),
+	}
+}}
+
 // OpenFile opens a trace file for streaming replay. It fails with the
-// errors Read would give for the same file. Close releases the file.
+// errors Read would give for the same file. Close releases the file and
+// the source's buffers.
 func OpenFile(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -273,17 +293,19 @@ func NewFileSource(rs io.ReadSeeker) (*FileSource, error) {
 	if body%recordSize != 0 {
 		return nil, recordErr(int(body/recordSize), io.ErrUnexpectedEOF)
 	}
+	bufs := blockPool.Get().(*blockBufs)
 	s := &FileSource{
 		r:    rs,
 		size: size,
 		n:    int(body / recordSize),
-		raw:  make([]byte, blockRecords*recordSize),
-		buf:  make([]isa.Uop, 0, blockRecords),
+		bufs: bufs,
+		buf:  bufs.buf[:0],
 	}
 	if s.n == 0 {
 		return s, nil
 	}
 	if err := s.fill(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -295,9 +317,15 @@ func (s *FileSource) Len() int { return s.n }
 // Err returns the error that stopped the replay, or nil.
 func (s *FileSource) Err() error { return s.err }
 
-// Close closes the file OpenFile opened; it is a no-op for a source
-// built by NewFileSource.
+// Close returns the source's block buffers to a pool shared by all
+// FileSources, and closes the file OpenFile opened (a source built by
+// NewFileSource leaves its reader open). The source must not be used
+// after Close: another source may already be decoding into its buffers.
 func (s *FileSource) Close() error {
+	if s.bufs != nil {
+		blockPool.Put(s.bufs)
+		s.bufs, s.buf = nil, nil
+	}
 	if s.closer == nil {
 		return nil
 	}
@@ -332,7 +360,7 @@ func (s *FileSource) fill() error {
 		}
 	}
 	k := min(s.left, blockRecords)
-	raw := s.raw[:k*recordSize]
+	raw := s.bufs.raw[:k*recordSize]
 	if _, err := io.ReadFull(s.r, raw); err != nil {
 		return recordErr(s.n-s.left, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -200,4 +201,101 @@ func TestReadPresizes(t *testing.T) {
 			t.Errorf("%s: len %d cap %d, want both %d", name, len(uops), cap(uops), n)
 		}
 	}
+}
+
+// TestFileSourceAfterClose replays a trace through a FileSource opened
+// after another one was closed, which typically decodes into the closed
+// source's pooled buffers, and interleaves whole-trace Reads that draw
+// from the same pool. The replay must match trace.Read's over several
+// laps.
+func TestFileSourceAfterClose(t *testing.T) {
+	first := encodeTrace(t, 2*blockRecords+5)
+	other := synth.DefaultParams()
+	other.Seed = 7
+	var buf bytes.Buffer
+	if err := Write(&buf, synth.MustNewStream(other), blockRecords+300); err != nil {
+		t.Fatal(err)
+	}
+	second := buf.Bytes()
+
+	var want, got isa.Uop
+	old := openTemp(t, first)
+	for range blockRecords + 10 {
+		old.Next(&got)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	uops, err := Read(bytes.NewReader(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSliceSource(uops)
+	src, err := NewFileSource(bytes.NewReader(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	n := src.Len()
+	for i := 0; i < 3*n+5; i++ {
+		if i%n == n/2 {
+			if _, err := Read(bytes.NewReader(first)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.Next(&want)
+		src.Next(&got)
+		if got != want {
+			t.Fatalf("uop %d (lap %d):\nfile:  %+v\nslice: %+v", i, i/n, got, want)
+		}
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileSourcePoolConcurrent opens, replays and closes sources of
+// different traces from several goroutines at once, so pooled buffers
+// pass between goroutines; under -race this also checks the hand-offs.
+func TestFileSourcePoolConcurrent(t *testing.T) {
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := range workers {
+		p := synth.DefaultParams()
+		p.Seed = int64(g + 1)
+		var buf bytes.Buffer
+		if err := Write(&buf, synth.MustNewStream(p), blockRecords+50*g+1); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		uops, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var want, got isa.Uop
+			for range 10 {
+				src, err := NewFileSource(bytes.NewReader(data))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ref := NewSliceSource(uops)
+				for i := 0; i < 2*len(uops)+3; i++ {
+					ref.Next(&want)
+					src.Next(&got)
+					if got != want {
+						t.Errorf("trace %d: uop %d differs", g, i)
+						src.Close()
+						return
+					}
+				}
+				src.Close()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -256,14 +257,17 @@ func (r *Runner) runLocalProgress(ctx context.Context, j Job, every uint64, repo
 	if err := j.Validate(); err != nil {
 		return Result{}, err
 	}
-	src, err := j.Workload.Stream()
+	// Acquire the stream and the Sim from their pools: each is reset in
+	// place for this job and byte-identical in behaviour to a fresh one,
+	// and reusing their storage (the synthetic program, ROB, queues,
+	// predictor tables, cache arrays) keeps batch loops and grid workers
+	// out of the allocator. The Sim is released first, dropping its
+	// reference to the stream before the stream goes back.
+	src, err := synth.Acquire(j.Workload.Params)
 	if err != nil {
 		return Result{}, fmt.Errorf("repro: job %s: %w", j.Label(), err)
 	}
-	// Acquire from the sim pool: a recycled Sim reset for this job is
-	// byte-identical in behaviour to a fresh one, and reusing its storage
-	// (ROB, queues, predictor tables, cache arrays) keeps batch loops and
-	// grid workers out of the allocator.
+	defer synth.Release(src)
 	sim, err := core.Acquire(j.Config, j.Policy, src)
 	if err != nil {
 		return Result{}, fmt.Errorf("repro: job %s: %w", j.Label(), err)
